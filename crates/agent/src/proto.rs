@@ -2,9 +2,11 @@
 //!
 //! One binary message format is used on both hops (container ↔ agent over
 //! shared memory, agent ↔ agent over the wire), so the agent can forward
-//! without re-encoding. The format is hand-rolled (no serde data format is
-//! available offline) and length-checked on parse — these bytes cross the
-//! simulated network, so corruption must surface as `Err`, not a panic.
+//! without re-encoding. Integers are little-endian, and decoding parses
+//! through [`freeflow_types::wire::Reader`]: every count and length is
+//! checked against the bytes that remain before anything is allocated.
+//! These bytes cross the simulated network, so corruption must surface as
+//! `Err`, never a panic or an abort.
 //!
 //! Payloads come in two shapes: [`RelayPayload::Inline`] bytes, or
 //! [`RelayPayload::Arena`] — an offset/length descriptor into the host's
@@ -12,7 +14,8 @@
 //! the data). Arena payloads are only meaningful within one host; agents
 //! materialize them to bytes before a message leaves the machine.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
+use freeflow_types::wire::Reader;
 use freeflow_types::{Error, OverlayIp, Result};
 
 /// A fabric-wide queue-pair address: overlay IP + QPN.
@@ -187,88 +190,55 @@ const PAYLOAD_INLINE: u8 = 0;
 const PAYLOAD_ARENA: u8 = 1;
 
 fn put_ep(buf: &mut BytesMut, ep: WireEp) {
-    buf.put_u32(ep.ip.raw());
-    buf.put_u32(ep.qpn);
-}
-
-fn get_ep(buf: &mut Bytes) -> Result<WireEp> {
-    if buf.len() < 8 {
-        return Err(Error::parse("truncated endpoint"));
-    }
-    Ok(WireEp {
-        ip: OverlayIp(buf.get_u32()),
-        qpn: buf.get_u32(),
-    })
+    buf.extend_from_slice(&ep.ip.raw().to_le_bytes());
+    buf.extend_from_slice(&ep.qpn.to_le_bytes());
 }
 
 fn put_imm(buf: &mut BytesMut, imm: Option<u32>) {
     match imm {
         Some(v) => {
-            buf.put_u8(1);
-            buf.put_u32(v);
+            buf.extend_from_slice(&[1]);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_imm(buf: &mut Bytes) -> Result<Option<u32>> {
-    if buf.is_empty() {
-        return Err(Error::parse("truncated imm flag"));
-    }
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => {
-            if buf.len() < 4 {
-                return Err(Error::parse("truncated imm value"));
-            }
-            Ok(Some(buf.get_u32()))
-        }
-        other => Err(Error::parse(format!("bad imm flag {other}"))),
+        None => buf.extend_from_slice(&[0]),
     }
 }
 
 fn put_payload(buf: &mut BytesMut, p: &RelayPayload) {
     match p {
         RelayPayload::Inline(b) => {
-            buf.put_u8(PAYLOAD_INLINE);
-            buf.put_u64(b.len() as u64);
+            buf.extend_from_slice(&[PAYLOAD_INLINE]);
+            buf.extend_from_slice(&(b.len() as u64).to_le_bytes());
             buf.extend_from_slice(b);
         }
         RelayPayload::Arena { offset, len } => {
-            buf.put_u8(PAYLOAD_ARENA);
-            buf.put_u64(*offset);
-            buf.put_u64(*len);
+            buf.extend_from_slice(&[PAYLOAD_ARENA]);
+            buf.extend_from_slice(&offset.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
         }
     }
 }
 
-fn get_payload(buf: &mut Bytes) -> Result<RelayPayload> {
-    if buf.is_empty() {
-        return Err(Error::parse("truncated payload kind"));
+fn read_imm(r: &mut Reader<'_>) -> Result<Option<u32>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u32()?)),
+        other => Err(Error::parse(format!("bad imm flag {other}"))),
     }
-    match buf.get_u8() {
+}
+
+/// Read a payload; inline bytes are a zero-copy view of `buf`, the buffer
+/// `r` reads.
+fn read_payload(r: &mut Reader<'_>, buf: &Bytes) -> Result<RelayPayload> {
+    match r.u8()? {
         PAYLOAD_INLINE => {
-            if buf.len() < 8 {
-                return Err(Error::parse("truncated payload length"));
-            }
-            let len = buf.get_u64() as usize;
-            if buf.len() < len {
-                return Err(Error::parse(format!(
-                    "payload truncated: want {len}, have {}",
-                    buf.len()
-                )));
-            }
-            Ok(RelayPayload::Inline(buf.split_to(len)))
+            let len = r.u64()?;
+            Ok(RelayPayload::Inline(buf.slice_ref(r.bytes(len)?)))
         }
-        PAYLOAD_ARENA => {
-            if buf.len() < 16 {
-                return Err(Error::parse("truncated arena descriptor"));
-            }
-            Ok(RelayPayload::Arena {
-                offset: buf.get_u64(),
-                len: buf.get_u64(),
-            })
-        }
+        PAYLOAD_ARENA => Ok(RelayPayload::Arena {
+            offset: r.u64()?,
+            len: r.u64()?,
+        }),
         other => Err(Error::parse(format!("bad payload kind {other}"))),
     }
 }
@@ -319,10 +289,10 @@ impl RelayMsg {
                 imm,
                 payload,
             } => {
-                buf.put_u8(TAG_SEND);
+                buf.extend_from_slice(&[TAG_SEND]);
                 put_ep(buf, *src);
                 put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
+                buf.extend_from_slice(&wr_id.to_le_bytes());
                 put_imm(buf, *imm);
                 put_payload(buf, payload);
             }
@@ -335,12 +305,12 @@ impl RelayMsg {
                 imm,
                 payload,
             } => {
-                buf.put_u8(TAG_WRITE);
+                buf.extend_from_slice(&[TAG_WRITE]);
                 put_ep(buf, *src);
                 put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                buf.put_u64(*addr);
-                buf.put_u32(*rkey);
+                buf.extend_from_slice(&wr_id.to_le_bytes());
+                buf.extend_from_slice(&addr.to_le_bytes());
+                buf.extend_from_slice(&rkey.to_le_bytes());
                 put_imm(buf, *imm);
                 put_payload(buf, payload);
             }
@@ -352,13 +322,13 @@ impl RelayMsg {
                 rkey,
                 len,
             } => {
-                buf.put_u8(TAG_READ_REQ);
+                buf.extend_from_slice(&[TAG_READ_REQ]);
                 put_ep(buf, *src);
                 put_ep(buf, *dst);
-                buf.put_u64(*req_id);
-                buf.put_u64(*addr);
-                buf.put_u32(*rkey);
-                buf.put_u64(*len);
+                buf.extend_from_slice(&req_id.to_le_bytes());
+                buf.extend_from_slice(&addr.to_le_bytes());
+                buf.extend_from_slice(&rkey.to_le_bytes());
+                buf.extend_from_slice(&len.to_le_bytes());
             }
             RelayMsg::ReadResp {
                 src,
@@ -367,11 +337,11 @@ impl RelayMsg {
                 status,
                 payload,
             } => {
-                buf.put_u8(TAG_READ_RESP);
+                buf.extend_from_slice(&[TAG_READ_RESP]);
                 put_ep(buf, *src);
                 put_ep(buf, *dst);
-                buf.put_u64(*req_id);
-                buf.put_u8(*status);
+                buf.extend_from_slice(&req_id.to_le_bytes());
+                buf.extend_from_slice(&[*status]);
                 put_payload(buf, payload);
             }
             RelayMsg::Ack {
@@ -380,11 +350,11 @@ impl RelayMsg {
                 wr_id,
                 byte_len,
             } => {
-                buf.put_u8(TAG_ACK);
+                buf.extend_from_slice(&[TAG_ACK]);
                 put_ep(buf, *src);
                 put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                buf.put_u64(*byte_len);
+                buf.extend_from_slice(&wr_id.to_le_bytes());
+                buf.extend_from_slice(&byte_len.to_le_bytes());
             }
             RelayMsg::Nack {
                 src,
@@ -392,11 +362,11 @@ impl RelayMsg {
                 wr_id,
                 status,
             } => {
-                buf.put_u8(TAG_NACK);
+                buf.extend_from_slice(&[TAG_NACK]);
                 put_ep(buf, *src);
                 put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                buf.put_u8(*status);
+                buf.extend_from_slice(&wr_id.to_le_bytes());
+                buf.extend_from_slice(&[*status]);
             }
         }
     }
@@ -417,17 +387,17 @@ impl RelayMsg {
             msgs[0].encode_into(buf);
             return;
         }
-        buf.put_u8(TAG_BATCH);
-        buf.put_u32(msgs.len() as u32);
+        buf.extend_from_slice(&[TAG_BATCH]);
+        buf.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
         for msg in msgs {
             // Reserve the length slot, encode, then patch the real length —
             // one pass over the payload instead of encode-then-copy.
             let len_at = buf.len();
-            buf.put_u32(0);
+            buf.extend_from_slice(&[0; 4]);
             let start = buf.len();
             msg.encode_into(buf);
             let frame_len = (buf.len() - start) as u32;
-            buf[len_at..len_at + 4].copy_from_slice(&frame_len.to_be_bytes());
+            buf[len_at..len_at + 4].copy_from_slice(&frame_len.to_le_bytes());
         }
     }
 
@@ -469,139 +439,80 @@ impl RelayMsg {
         if buf.first() != Some(&TAG_BATCH) {
             return Ok(vec![buf]);
         }
-        let mut buf = buf.slice(1..);
-        if buf.len() < 4 {
-            return Err(Error::parse("truncated batch count"));
-        }
-        let count = buf.get_u32() as usize;
+        let mut r = Reader::new(&buf[1..]);
+        // Every frame carries at least its u32 length.
+        let count = r.count(4)?;
         if count < 2 {
             return Err(Error::parse(format!(
                 "batch of {count} messages: lone messages use plain tags"
             )));
         }
         let mut frames = Vec::with_capacity(count);
-        for i in 0..count {
-            if buf.len() < 4 {
-                return Err(Error::parse(format!("truncated length of frame {i}")));
-            }
-            let len = buf.get_u32() as usize;
-            if buf.len() < len {
-                return Err(Error::parse(format!(
-                    "frame {i} truncated: want {len}, have {}",
-                    buf.len()
-                )));
-            }
-            frames.push(buf.split_to(len));
+        for _ in 0..count {
+            let len = r.u32()?;
+            frames.push(buf.slice_ref(r.bytes(len.into())?));
         }
-        if !buf.is_empty() {
-            return Err(Error::parse(format!(
-                "{} trailing bytes after batch",
-                buf.len()
-            )));
-        }
+        r.finish()?;
         Ok(frames)
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self> {
-        if buf.is_empty() {
-            return Err(Error::parse("empty relay message"));
+    /// Parse from wire bytes. Inline payloads are zero-copy views of
+    /// `buf`; trailing bytes are rejected.
+    pub fn decode(buf: Bytes) -> Result<Self> {
+        let mut r = Reader::new(&buf);
+        let tag = r.u8()?;
+        if !(TAG_SEND..=TAG_NACK).contains(&tag) {
+            return Err(Error::parse(format!("unknown relay tag {tag}")));
         }
-        let tag = buf.get_u8();
-        let need = |buf: &Bytes, n: usize, what: &str| -> Result<()> {
-            if buf.len() < n {
-                Err(Error::parse(format!("truncated {what}")))
-            } else {
-                Ok(())
-            }
+        let src = WireEp::new(OverlayIp(r.u32()?), r.u32()?);
+        let dst = WireEp::new(OverlayIp(r.u32()?), r.u32()?);
+        let msg = match tag {
+            TAG_SEND => RelayMsg::Send {
+                src,
+                dst,
+                wr_id: r.u64()?,
+                imm: read_imm(&mut r)?,
+                payload: read_payload(&mut r, &buf)?,
+            },
+            TAG_WRITE => RelayMsg::Write {
+                src,
+                dst,
+                wr_id: r.u64()?,
+                addr: r.u64()?,
+                rkey: r.u32()?,
+                imm: read_imm(&mut r)?,
+                payload: read_payload(&mut r, &buf)?,
+            },
+            TAG_READ_REQ => RelayMsg::ReadReq {
+                src,
+                dst,
+                req_id: r.u64()?,
+                addr: r.u64()?,
+                rkey: r.u32()?,
+                len: r.u64()?,
+            },
+            TAG_READ_RESP => RelayMsg::ReadResp {
+                src,
+                dst,
+                req_id: r.u64()?,
+                status: r.u8()?,
+                payload: read_payload(&mut r, &buf)?,
+            },
+            TAG_ACK => RelayMsg::Ack {
+                src,
+                dst,
+                wr_id: r.u64()?,
+                byte_len: r.u64()?,
+            },
+            _ => RelayMsg::Nack {
+                src,
+                dst,
+                wr_id: r.u64()?,
+                status: r.u8()?,
+            },
         };
-        match tag {
-            TAG_SEND => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 8, "wr_id")?;
-                let wr_id = buf.get_u64();
-                let imm = get_imm(&mut buf)?;
-                let payload = get_payload(&mut buf)?;
-                Ok(RelayMsg::Send {
-                    src,
-                    dst,
-                    wr_id,
-                    imm,
-                    payload,
-                })
-            }
-            TAG_WRITE => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 20, "write header")?;
-                let wr_id = buf.get_u64();
-                let addr = buf.get_u64();
-                let rkey = buf.get_u32();
-                let imm = get_imm(&mut buf)?;
-                let payload = get_payload(&mut buf)?;
-                Ok(RelayMsg::Write {
-                    src,
-                    dst,
-                    wr_id,
-                    addr,
-                    rkey,
-                    imm,
-                    payload,
-                })
-            }
-            TAG_READ_REQ => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 28, "read request")?;
-                Ok(RelayMsg::ReadReq {
-                    src,
-                    dst,
-                    req_id: buf.get_u64(),
-                    addr: buf.get_u64(),
-                    rkey: buf.get_u32(),
-                    len: buf.get_u64(),
-                })
-            }
-            TAG_READ_RESP => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 9, "read response")?;
-                let req_id = buf.get_u64();
-                let status = buf.get_u8();
-                let payload = get_payload(&mut buf)?;
-                Ok(RelayMsg::ReadResp {
-                    src,
-                    dst,
-                    req_id,
-                    status,
-                    payload,
-                })
-            }
-            TAG_ACK => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 16, "ack")?;
-                Ok(RelayMsg::Ack {
-                    src,
-                    dst,
-                    wr_id: buf.get_u64(),
-                    byte_len: buf.get_u64(),
-                })
-            }
-            TAG_NACK => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 9, "nack")?;
-                Ok(RelayMsg::Nack {
-                    src,
-                    dst,
-                    wr_id: buf.get_u64(),
-                    status: buf.get_u8(),
-                })
-            }
-            other => Err(Error::parse(format!("unknown relay tag {other}"))),
-        }
+        r.finish()?;
+        Ok(msg)
     }
 }
 
@@ -773,7 +684,7 @@ mod tests {
         let msgs = all_messages();
         let mut buf = BytesMut::new();
         RelayMsg::encode_coalesced(&msgs, &mut buf);
-        buf.put_u8(0xEE);
+        buf.extend_from_slice(&[0xEE]);
         let mut out = Vec::new();
         assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
         assert!(out.is_empty());
@@ -785,10 +696,49 @@ mod tests {
         // batch envelope.
         for count in [0u32, 1] {
             let mut buf = BytesMut::new();
-            buf.put_u8(7); // TAG_BATCH
-            buf.put_u32(count);
+            buf.extend_from_slice(&[7]); // TAG_BATCH
+            buf.extend_from_slice(&count.to_le_bytes());
             let mut out = Vec::new();
             assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
+        }
+    }
+
+    #[test]
+    fn hostile_batch_count_is_an_error_not_an_abort() {
+        // A batch claiming u32::MAX frames over a few bytes of body.
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&[TAG_BATCH]);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0; 12]);
+        let wire = buf.freeze();
+        assert!(RelayMsg::split_frames(wire.clone()).is_err());
+        let mut out = Vec::new();
+        assert!(RelayMsg::decode_many(wire, &mut out).is_err());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn hostile_inline_length_is_an_error_not_an_abort() {
+        // A SEND whose inline payload claims u64::MAX bytes.
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&[TAG_SEND]);
+        put_ep(&mut buf, ep(1, 10));
+        put_ep(&mut buf, ep(2, 20));
+        buf.extend_from_slice(&99u64.to_le_bytes());
+        put_imm(&mut buf, None);
+        buf.extend_from_slice(&[PAYLOAD_INLINE]);
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(b"short");
+        assert!(RelayMsg::decode(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_message_rejected() {
+        for msg in all_messages() {
+            let mut buf = BytesMut::new();
+            msg.encode_into(&mut buf);
+            buf.extend_from_slice(&[0]);
+            assert!(RelayMsg::decode(buf.freeze()).is_err(), "{msg:?}");
         }
     }
 }

@@ -68,6 +68,7 @@
 use crate::container::Container;
 use crate::endpoint::FfEndpoint;
 use crate::qp::FfQp;
+use freeflow_types::wire::{Reader, WireError};
 use freeflow_types::{ContainerId, HostId, OverlayIp, TenantId};
 use freeflow_verbs::VerbsResult;
 
@@ -327,6 +328,12 @@ impl std::error::Error for MigrateError {}
 /// Checkpoint wire-format magic: `"FFM1"`.
 const MAGIC: u32 = 0x4646_4D31;
 
+/// Encoded sizes that bound each record count on decode: a QP record, an
+/// MR record before its contents, a ledger record.
+const QP_RECORD_LEN: usize = 54;
+const MR_HEADER_LEN: usize = 34;
+const LEDGER_RECORD_LEN: usize = 28;
+
 /// Interned binding-phase names, in wire order (`BindingPhase::name()`).
 const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
 
@@ -341,32 +348,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MigrateError> {
-        let end = self.at.checked_add(n).ok_or(MigrateError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(MigrateError::Truncated);
+impl From<WireError> for MigrateError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { .. } => MigrateError::Truncated,
+            WireError::Oversized { .. } => MigrateError::BadValue("record count"),
+            WireError::Trailing(_) => MigrateError::BadValue("trailing bytes"),
         }
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, MigrateError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MigrateError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, MigrateError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
@@ -480,29 +468,25 @@ impl MigrationCheckpoint {
             return Err(MigrateError::Truncated);
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let want = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != want {
+        if fnv1a(body) != Reader::new(tail).u64()? {
             return Err(MigrateError::BadChecksum);
         }
-        let mut c = Cursor { bytes: body, at: 0 };
+        let mut c = Reader::new(body);
         if c.u32()? != MAGIC {
             return Err(MigrateError::BadMagic);
         }
         let id = ContainerId::new(c.u64()?);
         let tenant = TenantId::new(c.u64()?);
-        let ip_octets: [u8; 4] = c.take(4)?.try_into().unwrap();
+        let ip_octets: [u8; 4] = c.array()?;
         let from_host = HostId::new(c.u64()?);
         let to_host = HostId::new(c.u64()?);
-        let qp_count = c.u32()? as usize;
         // Counts are bounded by the remaining bytes — a corrupt count that
         // somehow survived the checksum still cannot over-allocate.
-        if qp_count > body.len() {
-            return Err(MigrateError::BadValue("qp count"));
-        }
+        let qp_count = c.count(QP_RECORD_LEN)?;
         let mut qps = Vec::with_capacity(qp_count);
         for _ in 0..qp_count {
             let qpn = c.u32()?;
-            let peer_octets: [u8; 4] = c.take(4)?.try_into().unwrap();
+            let peer_octets = c.array()?;
             let peer_qpn = c.u32()?;
             let phase_idx = c.u8()? as usize;
             let phase = *PHASES
@@ -523,10 +507,7 @@ impl MigrationCheckpoint {
                 next_op_id: c.u64()?,
             });
         }
-        let mr_count = c.u32()? as usize;
-        if mr_count > body.len() {
-            return Err(MigrateError::BadValue("mr count"));
-        }
+        let mr_count = c.count(MR_HEADER_LEN)?;
         let mut mrs = Vec::with_capacity(mr_count);
         for _ in 0..mr_count {
             let lkey = c.u32()?;
@@ -539,8 +520,8 @@ impl MigrationCheckpoint {
                 1 => true,
                 _ => return Err(MigrateError::BadValue("arena flag")),
             };
-            let n = c.u64()? as usize;
-            let bytes = c.take(n)?.to_vec();
+            let n = c.u64()?;
+            let bytes = c.bytes(n)?.to_vec();
             mrs.push(MrRecord {
                 lkey,
                 rkey,
@@ -551,10 +532,7 @@ impl MigrationCheckpoint {
                 bytes,
             });
         }
-        let ledger_count = c.u32()? as usize;
-        if ledger_count > body.len() {
-            return Err(MigrateError::BadValue("ledger count"));
-        }
+        let ledger_count = c.count(LEDGER_RECORD_LEN)?;
         let mut ledgers = Vec::with_capacity(ledger_count);
         for _ in 0..ledger_count {
             ledgers.push(LedgerRecord {
@@ -565,9 +543,7 @@ impl MigrationCheckpoint {
                 rx_parked: c.u32()?,
             });
         }
-        if c.at != body.len() {
-            return Err(MigrateError::BadValue("trailing bytes"));
-        }
+        c.finish()?;
         Ok(Self {
             image: ContainerImage {
                 id,
@@ -727,5 +703,38 @@ mod tests {
             let back = MigrationCheckpoint::decode(&cp.encode()).unwrap();
             assert_eq!(back.qps[0].phase, *name, "phase index {i}");
         }
+    }
+
+    /// Overwrite `bytes[at..]` with `field` and re-seal the checksum, so
+    /// decode gets past the checksum to the field itself.
+    fn patch_and_reseal(bytes: &mut [u8], at: usize, field: &[u8]) {
+        bytes[at..at + field.len()].copy_from_slice(field);
+        let n = bytes.len();
+        let sum = fnv1a(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_counts_and_lengths_are_errors_not_aborts() {
+        // Header: magic, id, tenant, ip, from_host, to_host.
+        let qp_count_at = 4 + 8 + 8 + 4 + 8 + 8;
+        let mr_len_at = qp_count_at + 4 + QP_RECORD_LEN + 4 + MR_HEADER_LEN - 8;
+        let good = sample().encode();
+        assert_eq!(good[qp_count_at..qp_count_at + 4], 1u32.to_le_bytes());
+        assert_eq!(good[mr_len_at..mr_len_at + 8], 16u64.to_le_bytes());
+
+        let mut bytes = good.clone();
+        patch_and_reseal(&mut bytes, qp_count_at, &u32::MAX.to_le_bytes());
+        assert_eq!(
+            MigrationCheckpoint::decode(&bytes),
+            Err(MigrateError::BadValue("record count"))
+        );
+
+        let mut bytes = good;
+        patch_and_reseal(&mut bytes, mr_len_at, &u64::MAX.to_le_bytes());
+        assert_eq!(
+            MigrationCheckpoint::decode(&bytes),
+            Err(MigrateError::Truncated)
+        );
     }
 }

@@ -427,12 +427,22 @@ impl FfQp {
     /// Force the error state, flushing receives (both paths) and any
     /// sends still parked behind an unfinished rebind.
     pub fn enter_error(&self) {
+        self.fail_with(&self.send_cq, &[]);
+    }
+
+    /// Enter the error state, then publish `failed` on `cq` — the
+    /// completion of the WR that caused it — ahead of every flush. A
+    /// poller that sees the error completion therefore always sees
+    /// `state() == Error`, as on a hardware NIC.
+    fn fail_with(&self, cq: &CompletionQueue, failed: &[WorkCompletion]) {
         let (flushed, parked) = {
             let mut inner = self.inner.lock();
-            if inner.state == QpState::Error {
+            let already = inner.state == QpState::Error;
+            inner.state = QpState::Error;
+            cq.push_batch(failed);
+            if already {
                 return;
             }
-            inner.state = QpState::Error;
             let old = inner.binding.path().label();
             let reason = inner.binding.reason();
             let epoch = inner.binding.epoch();
@@ -1624,15 +1634,16 @@ impl FfQp {
                 status = WcStatus::LocalProtectionError;
             }
         }
-        self.recv_cq.push(WorkCompletion {
+        let wc = WorkCompletion {
             wr_id: wr.wr_id,
             status,
             opcode,
             byte_len: p.byte_len,
             imm: p.imm,
             qp_num: self.qp_num(),
-        });
+        };
         let reply = if status.is_ok() {
+            self.recv_cq.push(wc);
             RelayMsg::Ack {
                 src: self.endpoint().wire(),
                 dst: p.src,
@@ -1640,6 +1651,7 @@ impl FfQp {
                 byte_len: p.byte_len,
             }
         } else {
+            self.fail_with(&self.recv_cq, &[wc]);
             RelayMsg::Nack {
                 src: self.endpoint().wire(),
                 dst: p.src,
@@ -1648,9 +1660,6 @@ impl FfQp {
             }
         };
         self.reply(reply);
-        if !status.is_ok() {
-            self.enter_error();
-        }
     }
 
     fn inbound_write(
@@ -1774,18 +1783,18 @@ impl FfQp {
         } else {
             Self::wire_status_to_wc(status)
         };
-        if p.signaled || !wc_status.is_ok() {
-            self.send_cq.push(WorkCompletion {
-                wr_id: p.wr_id,
-                status: wc_status,
-                opcode: WcOpcode::RdmaRead,
-                byte_len: payload.len() as u64,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
-        }
+        let wc = WorkCompletion {
+            wr_id: p.wr_id,
+            status: wc_status,
+            opcode: WcOpcode::RdmaRead,
+            byte_len: payload.len() as u64,
+            imm: None,
+            qp_num: self.qp_num(),
+        };
         if !wc_status.is_ok() {
-            self.enter_error();
+            self.fail_with(&self.send_cq, &[wc]);
+        } else if p.signaled {
+            self.send_cq.push(wc);
         }
     }
 
@@ -1818,15 +1827,15 @@ impl FfQp {
         }
         let pending = self.inner.lock().pending_sends.remove(&op_id);
         let Some(p) = pending else { return };
-        self.send_cq.push(WorkCompletion {
+        let wc = WorkCompletion {
             wr_id: p.wr_id,
             status: Self::wire_status_to_wc(status),
             opcode: p.opcode,
             byte_len: 0,
             imm: None,
             qp_num: self.qp_num(),
-        });
-        self.enter_error();
+        };
+        self.fail_with(&self.send_cq, &[wc]);
     }
 
     fn reply(&self, msg: RelayMsg) {

@@ -238,6 +238,75 @@ fn bad_rkey_inter_host_fails_with_remote_access_error() {
     assert_eq!(p.qp_a.state(), QpState::Error);
 }
 
+/// Every relay-path error completion is published after its QP entered
+/// `Error` and ahead of that QP's flushes, so a poller that sees the error
+/// never reads `Rts` back. Covers a bad-rkey WRITE (the sender's NACK), an
+/// undersized receive (the receiver's local error and the sender's NACK)
+/// and a READ the responder refuses, many times over.
+#[test]
+fn error_completions_follow_the_error_state() {
+    const ROUNDS: usize = 200;
+    let cluster = FreeFlowCluster::with_defaults();
+    let h0 = cluster.add_host(HostCaps::paper_testbed());
+    let h1 = cluster.add_host(HostCaps::paper_testbed());
+    let a = cluster.launch(tenant(), h0).unwrap();
+    let b = cluster.launch(tenant(), h1).unwrap();
+    let mr_a = a.register(4096, AccessFlags::all()).unwrap();
+    let mr_b = b.register(4096, AccessFlags::all()).unwrap();
+    let write_only = b.register(4096, AccessFlags::remote_write_only()).unwrap();
+    // The failed WR completes first, with the QP already in `Error`; the
+    // receive left posted flushes after it.
+    let expect_failure = |cq: &freeflow_verbs::CompletionQueue,
+                          qp: &crate::FfQp,
+                          wr_id: u64,
+                          status: WcStatus,
+                          flushed: u64| {
+        let wc = cq.wait_one(T).expect("error completion");
+        assert_eq!(qp.state(), QpState::Error, "{wc:?} visible before Error");
+        assert_eq!((wc.wr_id, wc.status), (wr_id, status));
+        let flush = cq.wait_one(T).expect("flush completion");
+        assert_eq!(
+            (flush.wr_id, flush.status),
+            (flushed, WcStatus::WrFlushError)
+        );
+    };
+    for _ in 0..ROUNDS {
+        for kind in 0..3 {
+            let cq_a = a.create_cq(16);
+            let cq_b = b.create_cq(16);
+            let qp_a = a.create_qp(&cq_a, &cq_a, 8, 8).unwrap();
+            let qp_b = b.create_qp(&cq_b, &cq_b, 8, 8).unwrap();
+            qp_a.connect(qp_b.endpoint()).unwrap();
+            qp_b.connect(qp_a.endpoint()).unwrap();
+            qp_a.post_recv(RecvWr::new(90, mr_a.sge(0, 64))).unwrap();
+            match kind {
+                0 => {
+                    qp_a.post_send(SendWr::write(1, mr_a.sge(0, 1), mr_b.addr(), 0xDEAD))
+                        .unwrap();
+                    expect_failure(&cq_a, &qp_a, 1, WcStatus::RemoteAccessError, 90);
+                }
+                1 => {
+                    qp_b.post_recv(RecvWr::new(2, mr_b.sge(0, 4))).unwrap();
+                    qp_b.post_recv(RecvWr::new(91, mr_b.sge(0, 64))).unwrap();
+                    qp_a.post_send(SendWr::send(3, mr_a.sge(0, 64))).unwrap();
+                    expect_failure(&cq_b, &qp_b, 2, WcStatus::LocalLengthError, 91);
+                    expect_failure(&cq_a, &qp_a, 3, WcStatus::LocalLengthError, 90);
+                }
+                _ => {
+                    qp_a.post_send(SendWr::read(
+                        4,
+                        mr_a.sge(0, 16),
+                        write_only.addr(),
+                        write_only.rkey(),
+                    ))
+                    .unwrap();
+                    expect_failure(&cq_a, &qp_a, 4, WcStatus::RemoteAccessError, 90);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn cross_tenant_pair_downgrades_to_overlay_tcp() {
     let cluster = FreeFlowCluster::with_defaults();

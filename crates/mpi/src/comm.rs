@@ -2,6 +2,7 @@
 
 use freeflow::{Container, FreeFlowCluster};
 use freeflow_socket::{FfStream, SocketStack};
+use freeflow_types::wire::Reader;
 use freeflow_types::{Error, HostId, Result, TenantId};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -10,8 +11,12 @@ use std::time::Duration;
 /// make one well-known port fine).
 const MPI_PORT: u16 = 5555;
 
-/// Frame header: tag (u32) + payload length (u64).
+/// Frame header: tag (u32) + payload length (u64), little-endian.
 const HDR: usize = 12;
+
+/// Most a receive buffer grows ahead of the bytes that arrived: a peer's
+/// header can claim any length, but memory follows the data.
+const RECV_CHUNK: u64 = 64 * 1024;
 
 /// Reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +103,11 @@ impl World {
                         let mut stream = listener.accept(Duration::from_secs(30))?;
                         let mut hello = [0u8; 8];
                         stream.read_exact(&mut hello)?;
-                        got.push((u64::from_le_bytes(hello) as usize, stream));
+                        // Only lower ranks dial rank j; the rank indexes the mesh.
+                        match Reader::new(&hello).u64()? {
+                            i if i < j as u64 => got.push((i as usize, stream)),
+                            i => return Err(Error::parse(format!("rank {j} got hello from {i}"))),
+                        }
                     }
                     Ok(got)
                 }));
@@ -194,11 +203,10 @@ impl Rank {
                 let stream = self.link(src)?;
                 let mut hdr = [0u8; HDR];
                 stream.read_exact(&mut hdr)?;
-                let got_tag = u32::from_le_bytes(hdr[..4].try_into().expect("4 bytes"));
-                let len = u64::from_le_bytes(hdr[4..].try_into().expect("8 bytes")) as usize;
-                let mut data = vec![0u8; len];
-                stream.read_exact(&mut data)?;
-                (got_tag, data)
+                let mut r = Reader::new(&hdr);
+                let got_tag = r.u32()?;
+                let len = r.u64()?;
+                (got_tag, read_payload(stream, len)?)
             };
             if got_tag == tag {
                 return Ok(data);
@@ -367,16 +375,27 @@ fn f64s_to_bytes(v: &[f64]) -> Vec<u8> {
     out
 }
 
+/// Decode little-endian `f64`s; a ragged tail is an `Err`.
 fn bytes_to_f64s(b: &[u8]) -> Result<Vec<f64>> {
-    if b.len() % 8 != 0 {
-        return Err(Error::parse(format!(
-            "{} bytes is not f64-aligned",
-            b.len()
-        )));
+    let mut r = Reader::new(b);
+    let mut out = Vec::with_capacity(b.len() / 8);
+    while r.remaining() > 0 {
+        out.push(f64::from_bits(r.u64()?));
     }
-    Ok(b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
+    Ok(out)
+}
+
+/// Read a `len`-byte payload, growing the buffer at most [`RECV_CHUNK`]
+/// ahead of the bytes that arrived, so a hostile length costs no memory
+/// up front and a peer that hangs up mid-payload yields `Err`.
+fn read_payload(stream: &mut FfStream, len: u64) -> Result<Vec<u8>> {
+    let mut data = Vec::new();
+    while (data.len() as u64) < len {
+        let at = data.len();
+        data.resize(at + (len - at as u64).min(RECV_CHUNK) as usize, 0);
+        stream.read_exact(&mut data[at..])?;
+    }
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -528,5 +547,17 @@ mod tests {
         let mut ranks = world_of_four();
         let r0 = &mut ranks[0];
         assert!(r0.send(0, 1, b"loop").is_err());
+    }
+
+    #[test]
+    fn hostile_frame_length_is_an_error_not_an_abort() {
+        let mut ranks = world_of_four();
+        let mut peer = ranks.remove(1);
+        // The peer claims a u64::MAX-byte payload, then drops its stream.
+        let mut hdr = 7u32.to_le_bytes().to_vec();
+        hdr.extend_from_slice(&u64::MAX.to_le_bytes());
+        peer.link(0).unwrap().write_all(&hdr).unwrap();
+        peer.links[0] = None;
+        assert!(ranks[0].recv(1, 7).is_err());
     }
 }

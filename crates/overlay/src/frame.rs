@@ -8,11 +8,13 @@
 //!   host network: a VXLAN network identifier (VNI, the tenant isolation
 //!   tag) plus the serialized inner frame.
 //!
-//! Wire encodings are explicit and length-checked; a truncated or corrupt
-//! buffer parses to `Err`, never panics — these bytes cross "the network".
+//! Integers are little-endian and both decoders parse through
+//! [`freeflow_types::wire::Reader`], so a truncated or corrupt buffer
+//! parses to `Err`, never panics — these bytes cross "the network".
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use freeflow_types::{Error, OverlayIp, Result};
+use bytes::{Bytes, BytesMut};
+use freeflow_types::wire::Reader;
+use freeflow_types::{OverlayIp, Result};
 
 /// Protocol numbers for the inner frame (loosely IANA-flavored).
 pub mod proto {
@@ -54,38 +56,29 @@ impl Frame {
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(Self::HEADER_LEN + self.payload.len());
-        buf.put_u32(self.src.raw());
-        buf.put_u32(self.dst.raw());
-        buf.put_u8(self.protocol);
-        buf.put_u32(self.payload.len() as u32);
+        buf.extend_from_slice(&self.src.raw().to_le_bytes());
+        buf.extend_from_slice(&self.dst.raw().to_le_bytes());
+        buf.extend_from_slice(&[self.protocol]);
+        buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&self.payload);
         buf.freeze()
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self> {
-        if buf.len() < Self::HEADER_LEN {
-            return Err(Error::parse(format!(
-                "frame truncated: {} < header {}",
-                buf.len(),
-                Self::HEADER_LEN
-            )));
-        }
-        let src = OverlayIp(buf.get_u32());
-        let dst = OverlayIp(buf.get_u32());
-        let protocol = buf.get_u8();
-        let len = buf.get_u32() as usize;
-        if buf.len() != len {
-            return Err(Error::parse(format!(
-                "frame length mismatch: header says {len}, {} remain",
-                buf.len()
-            )));
-        }
+    /// Parse from wire bytes; the payload is a zero-copy view of `buf`
+    /// and must fill it exactly.
+    pub fn decode(buf: Bytes) -> Result<Self> {
+        let mut r = Reader::new(&buf);
+        let src = OverlayIp(r.u32()?);
+        let dst = OverlayIp(r.u32()?);
+        let protocol = r.u8()?;
+        let len = r.u32()?;
+        let payload = buf.slice_ref(r.bytes(len.into())?);
+        r.finish()?;
         Ok(Self {
             src,
             dst,
             protocol,
-            payload: buf,
+            payload,
         })
     }
 
@@ -122,18 +115,18 @@ impl VxlanPacket {
     /// Serialize the whole packet (vni header + inner bytes).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(4 + self.inner.len());
-        buf.put_u32(self.vni);
+        buf.extend_from_slice(&self.vni.to_le_bytes());
         buf.extend_from_slice(&self.inner);
         buf.freeze()
     }
 
     /// Parse a serialized packet.
-    pub fn decode(mut buf: Bytes) -> Result<Self> {
-        if buf.len() < 4 {
-            return Err(Error::parse("vxlan packet shorter than VNI header"));
-        }
-        let vni = buf.get_u32();
-        Ok(Self { vni, inner: buf })
+    pub fn decode(buf: Bytes) -> Result<Self> {
+        let vni = Reader::new(&buf).u32()?;
+        Ok(Self {
+            vni,
+            inner: buf.slice(4..),
+        })
     }
 }
 
@@ -196,5 +189,22 @@ mod tests {
     #[test]
     fn vxlan_too_short_rejected() {
         assert!(VxlanPacket::decode(Bytes::from_static(b"ab")).is_err());
+    }
+
+    #[test]
+    fn hostile_frame_length_is_an_error_not_an_abort() {
+        let mut raw = BytesMut::new();
+        raw.extend_from_slice(&ip(1).raw().to_le_bytes());
+        raw.extend_from_slice(&ip(2).raw().to_le_bytes());
+        raw.extend_from_slice(&[proto::DATA]);
+        raw.extend_from_slice(&u32::MAX.to_le_bytes());
+        raw.extend_from_slice(b"short");
+        let raw = raw.freeze();
+        assert!(Frame::decode(raw.clone()).is_err());
+        let mut outer = BytesMut::new();
+        outer.extend_from_slice(&9u32.to_le_bytes());
+        outer.extend_from_slice(&raw);
+        let pkt = VxlanPacket::decode(outer.freeze()).unwrap();
+        assert!(pkt.decap().is_err());
     }
 }

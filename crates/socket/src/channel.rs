@@ -340,7 +340,7 @@ impl Channel {
             self.core.lock().kill(format!("recv repost failed: {e}"));
             return true;
         }
-        let frame = match decode(raw) {
+        let frame = match decode(&raw) {
             Ok(f) => f,
             Err(e) => {
                 self.core.lock().kill(format!("bad frame: {e}"));
@@ -351,11 +351,13 @@ impl Channel {
         // Any inbound frame proves the peer's QP transmits: the
         // accepting side's tx gate opens.
         core.tx_open = true;
-        self.apply_frame(&mut core, frame);
+        self.apply_frame(&mut core, frame, raw);
         true
     }
 
-    fn apply_frame(&self, core: &mut MuxCore, frame: Frame) {
+    /// Apply a decoded frame; `raw` is the received buffer it was decoded
+    /// from, kept whole by a data frame instead of copying its payload.
+    fn apply_frame(&self, core: &mut MuxCore, frame: Frame, raw: Vec<u8>) {
         match frame {
             Frame::Ready => {}
             Frame::Resync { sent: _ } => {
@@ -367,8 +369,16 @@ impl Channel {
             Frame::Data {
                 seq,
                 stream,
-                payload,
-            } => self.accept_sequenced(core, seq, SeqFrame::Data { stream, payload }),
+                payload_at,
+            } => self.accept_sequenced(
+                core,
+                seq,
+                SeqFrame::Data {
+                    stream,
+                    frame: raw,
+                    payload_at,
+                },
+            ),
             Frame::Credit { seq, stream, n } => {
                 self.accept_sequenced(core, seq, SeqFrame::Credit { stream, n })
             }
@@ -397,11 +407,16 @@ impl Channel {
     /// Deliver one in-order frame to its stream.
     fn dispatch(&self, core: &mut MuxCore, frame: SeqFrame) {
         match frame {
-            SeqFrame::Data { stream, payload } => {
+            SeqFrame::Data {
+                stream,
+                frame,
+                payload_at,
+            } => {
+                let payload = &frame[payload_at..];
                 let credit_now = match core.streams.get_mut(&stream) {
                     Some(s) if !s.detached => {
                         s.rx_frame_bytes.push_back(payload.len() as u32);
-                        s.rx.extend(&payload);
+                        s.rx.extend(payload);
                         false
                     }
                     Some(s) => {

@@ -18,6 +18,7 @@
 //! drive progress through the methods here.
 
 use crate::reliability::{RxLedger, TxLedger};
+use freeflow_types::wire::Reader;
 use freeflow_types::{Error, Result};
 use std::collections::{HashMap, VecDeque};
 
@@ -50,14 +51,15 @@ pub(crate) const TAG_RESYNC: u8 = 3;
 pub(crate) const TAG_RESYNC_ACK: u8 = 4;
 pub(crate) const TAG_READY: u8 = 5;
 
-/// A decoded wire frame.
+/// A decoded wire frame. Decoding borrows the received bytes; a data
+/// frame's payload stays in them, at `payload_at..`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Frame {
     /// Sequenced: stream payload bytes.
     Data {
         seq: u64,
         stream: u32,
-        payload: Vec<u8>,
+        payload_at: usize,
     },
     /// Sequenced: return `n` credits to `stream`'s writer.
     Credit { seq: u64, stream: u32, n: u32 },
@@ -76,9 +78,19 @@ pub(crate) enum Frame {
 /// dispatched to streams, in order).
 #[derive(Debug)]
 pub(crate) enum SeqFrame {
-    Data { stream: u32, payload: Vec<u8> },
-    Credit { stream: u32, n: u32 },
-    Fin { stream: u32 },
+    /// The whole received frame; the payload is `frame[payload_at..]`.
+    Data {
+        stream: u32,
+        frame: Vec<u8>,
+        payload_at: usize,
+    },
+    Credit {
+        stream: u32,
+        n: u32,
+    },
+    Fin {
+        stream: u32,
+    },
 }
 
 pub(crate) fn encode_data_header(seq: u64, stream: u32) -> [u8; DATA_HDR] {
@@ -124,44 +136,32 @@ pub(crate) fn encode_ready() -> Vec<u8> {
     vec![TAG_READY]
 }
 
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().expect("8 bytes"))
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().expect("4 bytes"))
-}
-
-pub(crate) fn decode(mut raw: Vec<u8>) -> Result<Frame> {
-    match raw.first().copied() {
-        Some(TAG_DATA) if raw.len() >= DATA_HDR => {
-            let seq = le_u64(&raw[1..9]);
-            let stream = le_u32(&raw[9..13]);
-            let payload = raw.split_off(DATA_HDR);
-            Ok(Frame::Data {
-                seq,
-                stream,
-                payload,
+pub(crate) fn decode(raw: &[u8]) -> Result<Frame> {
+    let mut r = Reader::new(raw);
+    let frame = match r.u8()? {
+        TAG_DATA => {
+            return Ok(Frame::Data {
+                seq: r.u64()?,
+                stream: r.u32()?,
+                payload_at: raw.len() - r.remaining(),
             })
         }
-        Some(TAG_CREDIT) if raw.len() >= 17 => Ok(Frame::Credit {
-            seq: le_u64(&raw[1..9]),
-            stream: le_u32(&raw[9..13]),
-            n: le_u32(&raw[13..17]),
-        }),
-        Some(TAG_FIN) if raw.len() >= 13 => Ok(Frame::Fin {
-            seq: le_u64(&raw[1..9]),
-            stream: le_u32(&raw[9..13]),
-        }),
-        Some(TAG_RESYNC) if raw.len() >= 9 => Ok(Frame::Resync {
-            sent: le_u64(&raw[1..9]),
-        }),
-        Some(TAG_RESYNC_ACK) if raw.len() >= 9 => Ok(Frame::ResyncAck {
-            received: le_u64(&raw[1..9]),
-        }),
-        Some(TAG_READY) => Ok(Frame::Ready),
-        other => Err(Error::parse(format!("bad mux frame tag {other:?}"))),
-    }
+        TAG_CREDIT => Frame::Credit {
+            seq: r.u64()?,
+            stream: r.u32()?,
+            n: r.u32()?,
+        },
+        TAG_FIN => Frame::Fin {
+            seq: r.u64()?,
+            stream: r.u32()?,
+        },
+        TAG_RESYNC => Frame::Resync { sent: r.u64()? },
+        TAG_RESYNC_ACK => Frame::ResyncAck { received: r.u64()? },
+        TAG_READY => Frame::Ready,
+        other => return Err(Error::parse(format!("bad mux frame tag {other}"))),
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 /// Why an unsequenced control frame was posted — consulted when its
@@ -353,15 +353,16 @@ mod tests {
         let mut data = encode_data_header(42, 7).to_vec();
         data.extend_from_slice(b"payload");
         assert_eq!(
-            decode(data).unwrap(),
+            decode(&data).unwrap(),
             Frame::Data {
                 seq: 42,
                 stream: 7,
-                payload: b"payload".to_vec()
+                payload_at: DATA_HDR
             }
         );
+        assert_eq!(&data[DATA_HDR..], b"payload");
         assert_eq!(
-            decode(encode_credit(9, 3, 8)).unwrap(),
+            decode(&encode_credit(9, 3, 8)).unwrap(),
             Frame::Credit {
                 seq: 9,
                 stream: 3,
@@ -369,19 +370,31 @@ mod tests {
             }
         );
         assert_eq!(
-            decode(encode_fin(1, 2)).unwrap(),
+            decode(&encode_fin(1, 2)).unwrap(),
             Frame::Fin { seq: 1, stream: 2 }
         );
         assert_eq!(
-            decode(encode_resync(100)).unwrap(),
+            decode(&encode_resync(100)).unwrap(),
             Frame::Resync { sent: 100 }
         );
         assert_eq!(
-            decode(encode_resync_ack(99)).unwrap(),
+            decode(&encode_resync_ack(99)).unwrap(),
             Frame::ResyncAck { received: 99 }
         );
-        assert_eq!(decode(encode_ready()).unwrap(), Frame::Ready);
-        assert!(decode(vec![9, 9]).is_err());
+        assert_eq!(decode(&encode_ready()).unwrap(), Frame::Ready);
+        assert!(decode(&[9, 9]).is_err());
+    }
+
+    #[test]
+    fn hostile_frames_are_errors_not_aborts() {
+        // Short headers, trailing bytes on a control frame, unknown tags.
+        assert!(decode(&encode_data_header(1, 2)[..DATA_HDR - 1]).is_err());
+        assert!(decode(&[TAG_CREDIT, 0xFF, 0xFF]).is_err());
+        let mut credit = encode_credit(u64::MAX, u32::MAX, u32::MAX);
+        credit.push(0);
+        assert!(decode(&credit).is_err());
+        assert!(decode(&[]).is_err());
+        assert!(decode(&[0xFF]).is_err());
     }
 
     #[test]

@@ -476,6 +476,50 @@ mod tests {
         assert_eq!(p.qp_b.state(), crate::qp::QpState::Error);
     }
 
+    /// A poller on another thread that sees an error completion always
+    /// sees its QP in `Error`: the receiver of an undersized SEND (matched
+    /// on the sender's thread), and the sender of an RNR-parked SEND that
+    /// an undersized receive later refuses (failed on the receiver's).
+    #[test]
+    fn error_completions_follow_the_error_state() {
+        let net = VerbsNetwork::new();
+        let (dev_a, dev_b) = (net.create_device(ip(240)), net.create_device(ip(241)));
+        let (pd_a, pd_b) = (dev_a.alloc_pd(), dev_b.alloc_pd());
+        let mr_a = pd_a.register(4096, AccessFlags::all()).unwrap();
+        let mr_b = pd_b.register(4096, AccessFlags::all()).unwrap();
+        let poll_state = |cq: &Arc<crate::cq::CompletionQueue>, qp: &Arc<QueuePair>| {
+            let (cq, qp) = (Arc::clone(cq), Arc::clone(qp));
+            std::thread::spawn(move || {
+                let wc = cq.wait_one(std::time::Duration::from_secs(10)).unwrap();
+                (wc.status, qp.state())
+            })
+        };
+        for round in 0..400 {
+            let (cq_a, cq_b) = (dev_a.create_cq(16), dev_b.create_cq(16));
+            let qp_a = pd_a.create_qp(&cq_a, &cq_a, 4, 4).unwrap();
+            let qp_b = pd_b.create_qp(&cq_b, &cq_b, 4, 4).unwrap();
+            qp_a.connect(qp_b.endpoint()).unwrap();
+            qp_b.connect(qp_a.endpoint()).unwrap();
+            let seen = if round % 2 == 0 {
+                qp_b.post_recv(RecvWr::new(1, mr_b.sge(0, 4))).unwrap();
+                let poller = poll_state(&cq_b, &qp_b);
+                qp_a.post_send(SendWr::send(2, mr_a.sge(0, 64))).unwrap();
+                poller.join().unwrap()
+            } else {
+                qp_a.post_send(SendWr::send(2, mr_a.sge(0, 64))).unwrap();
+                let poller = poll_state(&cq_a, &qp_a);
+                qp_b.post_recv(RecvWr::new(1, mr_b.sge(0, 4))).unwrap();
+                poller.join().unwrap()
+            };
+            let want = [WcStatus::LocalLengthError, WcStatus::RemoteOperationError];
+            assert_eq!(
+                seen,
+                (want[round % 2], crate::qp::QpState::Error),
+                "round {round}"
+            );
+        }
+    }
+
     #[test]
     fn duplicate_address_panics() {
         let net = VerbsNetwork::new();

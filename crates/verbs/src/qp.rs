@@ -234,12 +234,22 @@ impl QueuePair {
     /// exactly what `IBV_WC_RETRY_EXC_ERR` reports, and it is the signal
     /// FreeFlow's router uses to re-path the connection.
     pub fn enter_error(&self) {
+        self.fail_with(&self.send_cq, &[]);
+    }
+
+    /// Enter the error state, then publish `failed` on `cq` — the
+    /// completions of the WRs that caused it, with any that preceded
+    /// them — ahead of every flush. A poller that sees an error completion
+    /// therefore always sees `state() == Error`, as on a hardware NIC.
+    fn fail_with(&self, cq: &CompletionQueue, failed: &[WorkCompletion]) {
         let (flushed_recvs, flushed_sends) = {
             let mut inner = self.inner.lock();
-            if inner.state == QpState::Error {
+            let already = inner.state == QpState::Error;
+            inner.state = QpState::Error;
+            cq.push_batch(failed);
+            if already {
                 return;
             }
-            inner.state = QpState::Error;
             let sends: Vec<(u64, bool)> = inner.sq_deferred.drain(..).collect();
             inner.sq_outstanding = inner.sq_outstanding.saturating_sub(sends.len());
             let recvs: Vec<RecvWr> = inner.rq.drain(..).collect();
@@ -325,25 +335,24 @@ impl QueuePair {
                 status = WcStatus::LocalProtectionError;
             }
         }
-        self.recv_cq.push(WorkCompletion {
+        let wc = WorkCompletion {
             wr_id: wr.wr_id,
             status,
             opcode,
             byte_len: p.byte_len,
             imm: p.imm,
             qp_num: self.qpn,
-        });
-        // Complete the sender (possibly on another device).
+        };
         let sender_status = if status.is_ok() {
+            self.recv_cq.push(wc);
             WcStatus::Success
         } else {
+            self.fail_with(&self.recv_cq, &[wc]);
             WcStatus::RemoteOperationError
         };
+        // Complete the sender (possibly on another device).
         if let Some(sender) = self.device.network().find_qp(p.src) {
             sender.finish_deferred_send(p.src_wr_id, p.src_signaled, sender_status);
-        }
-        if !status.is_ok() {
-            self.enter_error();
         }
     }
 
@@ -384,18 +393,18 @@ impl QueuePair {
             }
             inner.sq_outstanding = inner.sq_outstanding.saturating_sub(1);
         }
-        if signaled || !status.is_ok() {
-            self.send_cq.push(WorkCompletion {
-                wr_id,
-                status,
-                opcode: WcOpcode::Send,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qpn,
-            });
-        }
+        let wc = WorkCompletion {
+            wr_id,
+            status,
+            opcode: WcOpcode::Send,
+            byte_len: 0,
+            imm: None,
+            qp_num: self.qpn,
+        };
         if !status.is_ok() {
-            self.enter_error();
+            self.fail_with(&self.send_cq, &[wc]);
+        } else if signaled {
+            self.send_cq.push(wc);
         }
     }
 
@@ -517,15 +526,15 @@ impl QueuePair {
                     let mut inner = self.inner.lock();
                     inner.sq_outstanding -= 1;
                 }
-                self.send_cq.push(WorkCompletion {
+                let wc = WorkCompletion {
                     wr_id: wr.wr_id,
                     status,
                     opcode: WcOpcode::Send,
                     byte_len: 0,
                     imm: None,
                     qp_num: self.qpn,
-                });
-                self.enter_error();
+                };
+                self.fail_with(&self.send_cq, &[wc]);
                 Ok(())
             }
         }
@@ -659,9 +668,10 @@ impl QueuePair {
         }
         // Batch completions land before the error-state flush of any
         // deferred WRs, preserving chain order on the CQ.
-        self.send_cq.push_batch(&completions);
         if errored {
-            self.enter_error();
+            self.fail_with(&self.send_cq, &completions);
+        } else {
+            self.send_cq.push_batch(&completions);
         }
         result
     }
@@ -888,18 +898,19 @@ impl QueuePair {
                         status = WcStatus::LocalProtectionError;
                     }
                 }
-                self.recv_cq.push(WorkCompletion {
+                let wc = WorkCompletion {
                     wr_id: wr.wr_id,
                     status,
                     opcode,
                     byte_len,
                     imm,
                     qp_num: self.qpn,
-                });
+                };
                 if status.is_ok() {
+                    self.recv_cq.push(wc);
                     Delivery::Matched
                 } else {
-                    self.enter_error();
+                    self.fail_with(&self.recv_cq, &[wc]);
                     Delivery::Refused(WcStatus::RemoteOperationError)
                 }
             }
